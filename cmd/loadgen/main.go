@@ -30,11 +30,16 @@
 // table-side introspection extras on top (the hot-key Space-Saving sketch
 // and per-op-class latency stamping inside the table), whose results land
 // on /metrics, /heatmap and in the JSON summary's hot_keys.
+//
+// Every client stream draws its keys from the loaded key space, so a run
+// checks its own read hit rate: without Scans it must be 1 - missratio
+// within the printed tolerance, or loadgen exits 1 after reporting.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -208,7 +213,7 @@ func main() {
 		if reg != nil {
 			t.Observe(reg)
 		}
-		for _, k := range ycsb.LoadKeys(*records, 1) {
+		for _, k := range ycsb.LoadKeys(*records, loadSeed) {
 			t.Put(k, 0)
 		}
 		shmap = t
@@ -221,7 +226,7 @@ func main() {
 		if byteMode {
 			loadBytes(func(k, v []byte) { h.PutBytes(k, v) }, *records, *valueSize, *valueTheta)
 		} else {
-			h.PutBatch(ycsb.LoadKeys(*records, 1), make([]uint64, *records))
+			h.PutBatch(ycsb.LoadKeys(*records, loadSeed), make([]uint64, *records))
 		}
 		mkView = func(int) view {
 			if byteMode {
@@ -241,7 +246,7 @@ func main() {
 		if reg != nil {
 			t.Observe(reg)
 		}
-		for _, k := range ycsb.LoadKeys(*records, 1) {
+		for _, k := range ycsb.LoadKeys(*records, loadSeed) {
 			t.Put(k, 0)
 		}
 		mkView = func(int) view {
@@ -252,7 +257,7 @@ func main() {
 		if reg != nil {
 			t.Observe(reg)
 		}
-		for _, k := range ycsb.LoadKeys(*records, 1) {
+		for _, k := range ycsb.LoadKeys(*records, loadSeed) {
 			t.Put(k, 0)
 		}
 		mkView = func(int) view {
@@ -269,7 +274,7 @@ func main() {
 		if byteMode {
 			loadBytes(func(k, v []byte) { w.PutBytes(k, v) }, *records, *valueSize, *valueTheta)
 		} else {
-			for _, k := range ycsb.LoadKeys(*records, 1) {
+			for _, k := range ycsb.LoadKeys(*records, loadSeed) {
 				w.Put(k, 0)
 			}
 		}
@@ -330,7 +335,7 @@ func main() {
 	var splitWG sync.WaitGroup
 	runDone := make(chan struct{})
 	if trackOps {
-		loadKeys := ycsb.LoadKeys(*records, 1)
+		loadKeys := ycsb.LoadKeys(*records, loadSeed)
 		splitWG.Add(1)
 		go func() {
 			defer splitWG.Done()
@@ -363,7 +368,7 @@ func main() {
 		go func(wi int) {
 			defer wg.Done()
 			v := mkView(wi)
-			g := ycsb.NewGeneratorMissTheta(mix, *records, int64(wi+1), *missRatio, *theta)
+			g := ycsb.NewStreamGenerator(mix, *records, loadSeed, wi, *workers, *missRatio, *theta)
 			// exec runs one operation against the view and reports its op
 			// class: uint64 values by default, rendered byte keys and sized
 			// byte values in byte mode. A read-modify-write counts as one
@@ -539,6 +544,8 @@ func main() {
 			fmt.Printf("  worker %d latency ns: %s\n", wi, r.CDF().String())
 		}
 	}
+	hitErr := checkHitRate(mix, *missRatio,
+		clsTotals[obs.OpClass(table.Get, true)], clsTotals[obs.OpClass(table.Get, false)])
 	for cls := 0; cls < obs.NumOpClasses; cls++ {
 		name := obs.OpClassNames[cls]
 		n := clsTotals[cls]
@@ -621,6 +628,36 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", *jsonPath)
 	}
+	if hitErr != nil {
+		fail(hitErr)
+	}
+}
+
+// loadSeed seeds the load phase's key set (ycsb.LoadKeys). Every run-phase
+// stream draws its keys under the same salt (ycsb.NewStreamGenerator), so
+// reads name loaded keys.
+const loadSeed = 1
+
+// checkHitRate is the load generator's own oracle. YCSB reads draw loaded
+// keys, except the -missratio fraction redirected to keys no one inserts,
+// and nothing deletes, so the Get hit rate must be 1 - missratio up to
+// binomial noise: the tolerance is 0.01 plus four standard deviations. It
+// applies when every Get is a YCSB Read (no Scans, whose extra probes run
+// past the loaded ranks). A rate outside it means the streams drew keys
+// from the wrong key space — the run measured a different workload.
+func checkHitRate(mix ycsb.Mix, miss float64, hits, misses uint64) error {
+	n := float64(hits + misses)
+	if mix.Scan != 0 || n == 0 {
+		return nil
+	}
+	want := 1 - miss
+	rate := float64(hits) / n
+	tol := 0.01 + 4*math.Sqrt(want*(1-want)/n)
+	fmt.Printf("  read hit rate %.4f (want %.4f ± %.4f)\n", rate, want, tol)
+	if math.Abs(rate-want) > tol {
+		return fmt.Errorf("read hit rate %.4f outside %.4f ± %.4f: the key streams do not match the loaded data", rate, want, tol)
+	}
+	return nil
 }
 
 // loadBytes runs the byte-mode load phase: every load key in its canonical
@@ -629,7 +666,7 @@ func main() {
 func loadBytes(put func(k, v []byte), records uint64, size int, theta float64) {
 	sizer := workload.NewValueSizer(1, size, theta)
 	var kb, vb []byte
-	for _, k := range ycsb.LoadKeys(records, 1) {
+	for _, k := range ycsb.LoadKeys(records, loadSeed) {
 		kb = workload.AppendByteKey(kb[:0], k)
 		vb = workload.FillValue(vb, k, sizer.Next())
 		put(kb, vb)

@@ -69,7 +69,7 @@ func runSocket(cfg socketRun) {
 	if loadConns > 16 {
 		loadConns = 16
 	}
-	if err := workload.SocketLoad(cfg.addr, ycsb.LoadKeys(cfg.records, 1), vsize, loadConns, 128); err != nil {
+	if err := workload.SocketLoad(cfg.addr, ycsb.LoadKeys(cfg.records, loadSeed), vsize, loadConns, 128); err != nil {
 		fail(fmt.Errorf("socket load phase: %w", err))
 	}
 
@@ -86,7 +86,7 @@ func runSocket(cfg socketRun) {
 			w.Op[obs.OpClass(op, hit)].Record(ns)
 		},
 		Stream: func(ci int) workload.SocketStream {
-			g := ycsb.NewGeneratorMissTheta(cfg.mix, cfg.records, int64(ci+1), cfg.miss, cfg.theta)
+			g := ycsb.NewStreamGenerator(cfg.mix, cfg.records, loadSeed, ci, cfg.conns, cfg.miss, cfg.theta)
 			var kb, vb []byte
 			return func(i int) workload.SocketOp {
 				op := g.Next()
@@ -139,6 +139,9 @@ func runSocket(cfg socketRun) {
 		float64(stats.Ops)/stats.Elapsed.Seconds()/1e6, stats.Errors)
 	fmt.Printf("  latency ns (all conns, log-bucketed): p50=%.0f p90=%.0f p99=%.0f p99.9=%.0f max=%.0f mean=%.0f\n",
 		pct.P50, pct.P90, pct.P99, pct.P999, pct.Max, pct.Mean)
+	hitErr := checkHitRate(cfg.mix, cfg.miss,
+		opsByType[obs.OpClassNames[obs.OpClass(table.Get, true)]],
+		opsByType[obs.OpClassNames[obs.OpClass(table.Get, false)]])
 	for cls := 0; cls < obs.NumOpClasses; cls++ {
 		name := obs.OpClassNames[cls]
 		p, ok := opLatNS[name]
@@ -176,5 +179,8 @@ func runSocket(cfg socketRun) {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", cfg.jsonPath)
+	}
+	if hitErr != nil {
+		fail(hitErr)
 	}
 }

@@ -15,8 +15,10 @@
 //	uvarint(len(key)) uvarint(len(value)) key-bytes value-bytes
 //
 // and is addressed by a Ref packing (segment, offset) into 48 bits — small
-// enough to share a slot word with the 8-bit fingerprint the bucket layout
-// stores redundantly in the slot's spare high bits.
+// enough to share a slot word with the two bytes the bucket layout keeps in
+// the spare high bits: the 8-bit fingerprint (bits 48..55) and the split
+// bits that let a resize place the entry without reading this record
+// (bits 56..63).
 //
 // # Publication and reclamation
 //
@@ -51,7 +53,7 @@ import (
 type Ref uint64
 
 // RefBits is the width of a Ref; the bucket layout relies on it to pack a
-// Ref and a fingerprint into one slot word.
+// Ref, a fingerprint and split bits into one slot word.
 const RefBits = 48
 
 // refMask isolates a Ref inside a wider word.

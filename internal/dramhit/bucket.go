@@ -57,8 +57,9 @@ func (h *Handle) foldBucketStats(preLines, preHops uint64) {
 // processBucket resolves the queue-head request synchronously against the
 // bucket engine. The home bucket line was prefetched at Submit; by drain
 // time it is resident, so the one-line probe completes without re-entering
-// the queue. retire handles combined-Get chains, parking and Failed
-// exactly as on the flat path.
+// the queue. p.idx carries the engine hash computed at Submit, so the drain
+// does not hash the key again. retire handles combined-Get chains, parking
+// and Failed exactly as on the flat path.
 func (h *Handle) processBucket(p pending, resps []table.Response, nresp *int) (wrote, blocked bool) {
 	if p.req.Op == table.Get && *nresp >= len(resps) {
 		return false, true
@@ -69,7 +70,7 @@ func (h *Handle) processBucket(p pending, resps []table.Response, nresp *int) (w
 	switch p.req.Op {
 	case table.Get:
 		var v uint64
-		vb, ok := h.bh.Get(kb[:])
+		vb, ok := h.bh.GetHashed(p.idx, kb[:])
 		if ok {
 			v = getLE(vb)
 		}
@@ -79,7 +80,7 @@ func (h *Handle) processBucket(p pending, resps []table.Response, nresp *int) (w
 		var vb [8]byte
 		putLE(vb[:], p.req.Value)
 		h.stats.CASAttempts++
-		h.bh.Put(kb[:], vb[:])
+		h.bh.PutHashed(p.idx, kb[:], vb[:])
 		h.foldBucketStats(preL, preH)
 		return h.retire(p, table.Put, p.req.Value, true, false, resps, nresp)
 	case table.Upsert:
@@ -89,7 +90,7 @@ func (h *Handle) processBucket(p pending, resps []table.Response, nresp *int) (w
 		var vb [8]byte
 		var res uint64
 		h.stats.CASAttempts++
-		h.bh.Mutate(kb[:], func(old []byte, present bool) []byte {
+		h.bh.MutateHashed(p.idx, kb[:], func(old []byte, present bool) []byte {
 			res = p.req.Value
 			if present {
 				res += getLE(old)
@@ -102,7 +103,7 @@ func (h *Handle) processBucket(p pending, resps []table.Response, nresp *int) (w
 	default: // Delete — never a combine leader, so no retire machinery
 		h.pop()
 		h.stats.CASAttempts++
-		hit := h.bh.Delete(kb[:])
+		hit := h.bh.DeleteHashed(p.idx, kb[:])
 		h.foldBucketStats(preL, preH)
 		h.finish(p, table.Delete, hit)
 		return true, false
@@ -140,22 +141,23 @@ func (h *Handle) submitDirectBucket(reqs []table.Request, resps []table.Response
 		h.stats.Lines++
 		var kb, vb [8]byte
 		putLE(kb[:], req.Key)
+		hv := h.t.bkt.HashOf(kb[:])
 		preL, preH := h.bh.Lines, h.bh.Hops
 		var v uint64
 		var found bool
 		switch req.Op {
 		case table.Get:
-			if b, ok := h.bh.Get(kb[:]); ok {
+			if b, ok := h.bh.GetHashed(hv, kb[:]); ok {
 				v, found = getLE(b), true
 			}
 		case table.Put:
 			putLE(vb[:], req.Value)
 			h.stats.CASAttempts++
-			h.bh.Put(kb[:], vb[:])
+			h.bh.PutHashed(hv, kb[:], vb[:])
 			v, found = req.Value, true
 		case table.Upsert:
 			h.stats.CASAttempts++
-			h.bh.Mutate(kb[:], func(old []byte, present bool) []byte {
+			h.bh.MutateHashed(hv, kb[:], func(old []byte, present bool) []byte {
 				v = req.Value
 				if present {
 					v += getLE(old)
@@ -166,7 +168,7 @@ func (h *Handle) submitDirectBucket(reqs []table.Request, resps []table.Response
 			found = true
 		default: // Delete
 			h.stats.CASAttempts++
-			found = h.bh.Delete(kb[:])
+			found = h.bh.DeleteHashed(hv, kb[:])
 		}
 		h.foldBucketStats(preL, preH)
 		if req.Op == table.Get {

@@ -709,8 +709,9 @@ func (h *Handle) Submit(reqs []table.Request, resps []table.Response) (nreq, nre
 		}
 		if h.t.bkt != nil {
 			// Bucket layout: idx carries the FULL hash — the engine resizes
-			// itself, so a materialized slot index would go stale; the drain
-			// re-derives the bucket from the hash against the live state.
+			// itself, so a materialized slot index would go stale. The drain
+			// hands this hash to the engine, which re-derives the bucket
+			// against the live state without hashing the key again.
 			p.idx = hv
 			p.tag = table.TagOf(hv)
 			h.t.bkt.Prefetch(hv)

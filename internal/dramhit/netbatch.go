@@ -42,12 +42,14 @@ type ByteCompletion struct {
 }
 
 // bytePending is one in-flight byte request: the caller's buffers, the echo
-// id, and the latency stamp. No probe cursor is needed — the bucket engine
+// id, the key's engine hash (computed once, at submit, for the prefetch)
+// and the latency stamp. No probe cursor is needed — the bucket engine
 // resolves the whole probe in the drain call.
 type bytePending struct {
 	key     []byte
 	val     []byte
 	id      uint64
+	hv      uint64
 	startNS int64 // submission time, set only when op-latency tracking is on
 	op      table.Op
 }
@@ -98,7 +100,7 @@ func (h *Handle) SubmitBytes(op table.Op, id uint64, key, value []byte) {
 		// stores uint64 identities, and the full hash is the stable one.
 		h.hot.Offer(hv)
 	}
-	p := bytePending{key: key, val: value, id: id, op: op}
+	p := bytePending{key: key, val: value, id: id, hv: hv, op: op}
 	if h.opLat {
 		p.startNS = time.Now().UnixNano()
 	}
@@ -120,8 +122,8 @@ func (h *Handle) FlushBytes() {
 }
 
 // drainByte resolves the oldest byte request against the bucket engine —
-// its home line was prefetched at SubmitBytes and is resident by now — and
-// fires the completion callback.
+// its home line was prefetched at SubmitBytes and is resident by now, and
+// the hash taken there rides along — and fires the completion callback.
 func (h *Handle) drainByte() {
 	slot := &h.byteQ[h.btail&h.mask]
 	p := *slot
@@ -133,13 +135,13 @@ func (h *Handle) drainByte() {
 	var found bool
 	switch p.op {
 	case table.Get:
-		v, found = h.bh.Get(p.key)
+		v, found = h.bh.GetHashed(p.hv, p.key)
 	case table.Put:
 		h.stats.CASAttempts++
-		found = h.bh.Put(p.key, p.val)
+		found = h.bh.PutHashed(p.hv, p.key, p.val)
 	default: // Delete — Upsert was rejected at submit
 		h.stats.CASAttempts++
-		found = h.bh.Delete(p.key)
+		found = h.bh.DeleteHashed(p.hv, p.key)
 	}
 	h.foldBucketStats(preL, preH)
 	// A byte Put always succeeds (countOp's hit convention for Puts), while

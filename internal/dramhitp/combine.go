@@ -68,9 +68,9 @@ func (w *WriteHandle) holdUpsert(key, delta uint64) bool {
 			return true
 		}
 	}
-	t := w.t
-	part := t.partOf(key)
-	if t.layout != table.LayoutBucket && t.parts[part].full.Load() {
+	// Bucket partitions are never full, so only the flat layout locates the
+	// key here; the flush locates it again to route it.
+	if t := w.t; t.layout != table.LayoutBucket && t.parts[t.partOf(key)].full.Load() {
 		t.dropped.Add(1)
 		return false
 	}

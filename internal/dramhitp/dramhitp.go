@@ -486,19 +486,20 @@ func getLE(b []byte) uint64 {
 // applyBucket executes one delegated update against the owning partition's
 // bucket engine. Reserved keys take this path like any other (the layout
 // has no side slots), and a bucket partition never reports full — the
-// engine resizes itself, so fire-and-forget updates are never dropped.
+// engine resizes itself, so fire-and-forget updates are never dropped. The
+// locator's hash goes to the engine, so the key is hashed once.
 func (t *Table) applyBucket(m delegation.Message, bhs []*slotarr.BucketHandle) {
 	op := table.Op(m.Aux)
-	part, _ := t.locateBucket(m.A)
-	bh := bhs[part]
 	var kb, vb [8]byte
 	putLE(kb[:], m.A)
+	part, hv := t.locateBucketBytes(kb[:])
+	bh := bhs[part]
 	switch op {
 	case table.Put:
 		putLE(vb[:], m.B)
-		bh.Put(kb[:], vb[:])
+		bh.PutHashed(hv, kb[:], vb[:])
 	case table.Upsert:
-		bh.Mutate(kb[:], func(old []byte, present bool) []byte {
+		bh.MutateHashed(hv, kb[:], func(old []byte, present bool) []byte {
 			nv := m.B
 			if present {
 				nv += getLE(old)
@@ -507,7 +508,7 @@ func (t *Table) applyBucket(m delegation.Message, bhs []*slotarr.BucketHandle) {
 			return vb[:]
 		})
 	case table.Delete:
-		bh.Delete(kb[:])
+		bh.DeleteHashed(hv, kb[:])
 	}
 }
 

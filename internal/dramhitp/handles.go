@@ -81,8 +81,8 @@ func (t *Table) requireBucket() {
 // byte key of its 8-byte little-endian encoding.
 func (w *WriteHandle) PutBytes(key, value []byte) (existed bool) {
 	w.t.requireBucket()
-	part, _ := w.t.locateBucketBytes(key)
-	return w.wbhs[part].Put(key, value)
+	part, hv := w.t.locateBucketBytes(key)
+	return w.wbhs[part].PutHashed(hv, key, value)
 }
 
 // UpsertBytes atomically read-modify-writes a byte-string key: fn receives
@@ -91,16 +91,16 @@ func (w *WriteHandle) PutBytes(key, value []byte) (existed bool) {
 // invocation's result is published. Synchronous, like PutBytes.
 func (w *WriteHandle) UpsertBytes(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
 	w.t.requireBucket()
-	part, _ := w.t.locateBucketBytes(key)
-	return w.wbhs[part].Mutate(key, fn)
+	part, hv := w.t.locateBucketBytes(key)
+	return w.wbhs[part].MutateHashed(hv, key, fn)
 }
 
 // DeleteBytes removes a byte-string key, reporting whether it was present.
 // Synchronous, like PutBytes.
 func (w *WriteHandle) DeleteBytes(key []byte) bool {
 	w.t.requireBucket()
-	part, _ := w.t.locateBucketBytes(key)
-	return w.wbhs[part].Delete(key)
+	part, hv := w.t.locateBucketBytes(key)
+	return w.wbhs[part].DeleteHashed(hv, key)
 }
 
 // obsPublish copies the writer's plain counters into its registry shard and
@@ -337,7 +337,7 @@ type rpending struct {
 	key    uint64
 	id     uint64
 	part   uint64
-	idx    uint64 // partition-local
+	idx    uint64 // partition-local slot; the engine's full hash in bucket mode
 	probes uint64
 	rval   uint64 // resolved value of a parked leader (state != stateProbing)
 	trace  uint64 // lifecycle trace id; 0 = not sampled
@@ -541,17 +541,22 @@ func (r *ReadHandle) obsPublish() {
 	w.SetGauge(obs.GWindowMax, r.occMax)
 }
 
-// getBucket resolves a uint64 lookup through the key's partition engine,
-// folding the engine's bucket-line loads and stash hops into this reader's
-// KeyLines (every bucket visit consults key material — there is no sidecar
-// to skip from, so the other filter counters stay zero).
+// getBucket resolves a uint64 lookup through the key's partition engine.
 func (r *ReadHandle) getBucket(key uint64) (uint64, bool) {
+	part, hv := r.t.locateBucket(key)
+	return r.getBucketHashed(key, part, hv)
+}
+
+// getBucketHashed is getBucket for a key already located (part, hv from
+// locateBucket), folding the engine's bucket-line loads and stash hops into
+// this reader's KeyLines (every bucket visit consults key material — there
+// is no sidecar to skip from, so the other filter counters stay zero).
+func (r *ReadHandle) getBucketHashed(key, part, hv uint64) (uint64, bool) {
 	var kb [8]byte
 	putLE(kb[:], key)
-	part, _ := r.t.locateBucketBytes(kb[:])
 	bh := r.rbhs[part]
 	pre := bh.Lines + bh.Hops
-	vb, ok := bh.Get(kb[:])
+	vb, ok := bh.GetHashed(hv, kb[:])
 	r.Filter.KeyLines += bh.Lines + bh.Hops - pre
 	if !ok {
 		return 0, false
@@ -579,10 +584,10 @@ func (r *ReadHandle) Get(key uint64) (uint64, bool) {
 // Zero-allocation.
 func (r *ReadHandle) GetBytes(key []byte) ([]byte, bool) {
 	r.t.requireBucket()
-	part, _ := r.t.locateBucketBytes(key)
+	part, hv := r.t.locateBucketBytes(key)
 	bh := r.rbhs[part]
 	pre := bh.Lines + bh.Hops
-	v, ok := bh.Get(key)
+	v, ok := bh.GetHashed(hv, key)
 	r.Filter.KeyLines += bh.Lines + bh.Hops - pre
 	r.complete(ok)
 	return v, ok
@@ -732,7 +737,7 @@ func (r *ReadHandle) processOldest(resps []table.Response, nresp *int) (blocked 
 		if *nresp >= len(resps) {
 			return true
 		}
-		v, ok := r.getBucket(p.key)
+		v, ok := r.getBucketHashed(p.key, p.part, p.idx)
 		return r.retire(p, v, ok, resps, nresp)
 	}
 	if s := t.side.For(p.key); s != nil {

@@ -98,7 +98,7 @@ func (r *ReadHandle) drainGetBytes() {
 
 	bh := r.rbhs[p.part]
 	pre := bh.Lines + bh.Hops
-	v, ok := bh.Get(p.key)
+	v, ok := bh.GetHashed(p.hv, p.key)
 	r.Filter.KeyLines += bh.Lines + bh.Hops - pre
 	r.complete(ok)
 	if p.start != 0 {

@@ -43,16 +43,31 @@ func TestBucketCandidates7(t *testing.T) {
 
 func TestSlotWordEncoding(t *testing.T) {
 	for _, fp := range []uint8{1, 0x7f, 0xff} {
-		w := slotWord(fp, 0x0000_1234_5678_9abc)
-		if slotFP(w) != uint16(fp) || uint64(slotRef(w)) != 0x0000_1234_5678_9abc {
-			t.Fatalf("round trip failed for fp %#x", fp)
-		}
-		if w == 0 || w == slotTombstone {
-			t.Fatalf("published word %#x collides with a sentinel", w)
+		for _, ext := range []uint8{0, 1, 0x80, 0xff} {
+			w := slotWord(ext, fp, 0x0000_1234_5678_9abc)
+			if slotFP(w) != fp || slotExt(w) != ext || uint64(slotRef(w)) != 0x0000_1234_5678_9abc {
+				t.Fatalf("round trip failed for fp %#x ext %#x", fp, ext)
+			}
+			if w == 0 || w == slotTombstone {
+				t.Fatalf("published word %#x collides with a sentinel", w)
+			}
+			if !slotMatch(w, fp) || slotMatch(w, fp^1) {
+				t.Fatalf("slotMatch wrong for fp %#x ext %#x", fp, ext)
+			}
+			if got := slotWithExt(w, ext^0x5a); slotExt(got) != ext^0x5a || got&(1<<slotExtShift-1) != w&(1<<slotExtShift-1) {
+				t.Fatalf("slotWithExt disturbed the fingerprint or Ref: %#x -> %#x", w, got)
+			}
 		}
 	}
-	if slotFP(slotTombstone) == uint16(0xff) {
-		t.Fatal("tombstone tag field collides with a legal fingerprint")
+	// The tombstone's fingerprint byte is 0xff, a legal fingerprint, so the
+	// lane match must reject it explicitly; the empty word matches nothing.
+	if slotFP(slotTombstone) != 0xff || slotMatch(slotTombstone, 0xff) {
+		t.Fatal("tombstone matches fingerprint 0xff")
+	}
+	for fp := 1; fp < 256; fp++ {
+		if slotMatch(0, uint8(fp)) {
+			t.Fatalf("empty word matches fingerprint %#x", fp)
+		}
 	}
 }
 

@@ -53,10 +53,18 @@ import (
 //   - Resize (grow) is an index-only stop-the-writers copy: it
 //     write-locks all gates, rebuilds the bucket array — moving 8-byte
 //     slot words, never record bytes, and dropping tombstones — and swaps
-//     the state pointer. Readers continue on the old state throughout and
-//     linearize before any post-swap write. Migration completion steps the
-//     arena's reclamation epoch (arena.Advance), the hook that lets
-//     fully-dead segments from pre-resize churn be unlinked.
+//     the state pointer. Each word's new bucket comes from the split bits
+//     it carries (bucket.go), so a rebuild reads no arena record and
+//     computes no hash; only a word whose split bits ran out (8+ doublings
+//     without a rewrite) is re-hashed from its record. Readers continue on
+//     the old state throughout and linearize before any post-swap write.
+//     Migration completion steps the arena's reclamation epoch
+//     (arena.Advance), the hook that lets fully-dead segments from
+//     pre-resize churn be unlinked.
+//
+// Every operation has a Hashed form taking the caller's hash of the key,
+// so a front end that already hashed the key to prefetch its bucket does
+// not hash it again; the key-only forms hash and delegate.
 type BucketTable struct {
 	hash    func([]byte) uint64
 	ar      *arena.Arena
@@ -105,8 +113,9 @@ type BucketConfig struct {
 	// MaxLoad is the claimed-lane fraction that triggers a grow. The
 	// default 0.95 deliberately sits above the 90% fill the layout is
 	// benchmarked at, so high-fill operation measures the stash, not the
-	// resizer. Values above 1 disable growth entirely (fixed-size
-	// benchmarks; the stash absorbs all overflow).
+	// resizer. Claimed counts stash nodes too, so values above 1 let the
+	// stash hold that many times the lane count before a grow; large values
+	// (fixed-size benchmarks use 1000) disable growth in practice.
 	MaxLoad float64
 }
 
@@ -242,8 +251,14 @@ func (t *BucketTable) NewHandle() *BucketHandle {
 // reclaimed segments alive while referenced) but stale once the key is
 // overwritten. Zero-allocation.
 func (h *BucketHandle) Get(key []byte) ([]byte, bool) {
+	return h.GetHashed(h.t.hash(key), key)
+}
+
+// GetHashed is Get for a caller that already holds hv = HashOf(key). The
+// same contract holds for every Hashed form: a wrong hv addresses the
+// wrong bucket.
+func (h *BucketHandle) GetHashed(hv uint64, key []byte) ([]byte, bool) {
 	t := h.t
-	hv := t.hash(key)
 	fp := table.TagOf(hv)
 	h.w.Enter(t.ar)
 	defer h.w.Exit()
@@ -254,7 +269,7 @@ func (h *BucketHandle) Get(key []byte) ([]byte, bool) {
 	for m := simd.BucketCandidates7(meta, fp); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros8(m)
 		w := atomic.LoadUint64(&st.words[b+uint64(lane)+1])
-		if slotFP(w) != uint16(fp) {
+		if !slotMatch(w, fp) {
 			continue // empty, tombstone, or a mid-publish other key
 		}
 		k, v := t.ar.Record(slotRef(w))
@@ -266,7 +281,7 @@ func (h *BucketHandle) Get(key []byte) ([]byte, bool) {
 		for n := st.stash[b/BucketWords].Load(); n != nil; n = n.next {
 			h.Hops++
 			w := n.word.Load()
-			if slotFP(w) != uint16(fp) {
+			if !slotMatch(w, fp) {
 				continue
 			}
 			k, v := t.ar.Record(slotRef(w))
@@ -281,7 +296,12 @@ func (h *BucketHandle) Get(key []byte) ([]byte, bool) {
 // Put stores value for key, overwriting silently. Returns whether the key
 // already existed.
 func (h *BucketHandle) Put(key, value []byte) (existed bool) {
-	return h.mutate(key, value, nil)
+	return h.mutate(h.t.hash(key), key, value, nil)
+}
+
+// PutHashed is Put for a caller that already holds hv = HashOf(key).
+func (h *BucketHandle) PutHashed(hv uint64, key, value []byte) (existed bool) {
+	return h.mutate(hv, key, value, nil)
 }
 
 // Mutate atomically read-modify-writes key: fn receives the current value
@@ -290,12 +310,16 @@ func (h *BucketHandle) Put(key, value []byte) (existed bool) {
 // result is published, and its input is the record it replaced — this is
 // the linearizable add the uint64 Upsert contract needs.
 func (h *BucketHandle) Mutate(key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
-	return h.mutate(key, nil, fn)
+	return h.mutate(h.t.hash(key), key, nil, fn)
 }
 
-func (h *BucketHandle) mutate(key, value []byte, fn func([]byte, bool) []byte) (existed bool) {
+// MutateHashed is Mutate for a caller that already holds hv = HashOf(key).
+func (h *BucketHandle) MutateHashed(hv uint64, key []byte, fn func(old []byte, present bool) []byte) (existed bool) {
+	return h.mutate(hv, key, nil, fn)
+}
+
+func (h *BucketHandle) mutate(hv uint64, key, value []byte, fn func([]byte, bool) []byte) (existed bool) {
 	t := h.t
-	hv := t.hash(key)
 	fp := table.TagOf(hv)
 	g := &t.gates[hv&(bucketGateStripes-1)]
 	g.RLock()
@@ -310,8 +334,12 @@ func (h *BucketHandle) mutate(key, value []byte, fn func([]byte, bool) []byte) (
 func (h *BucketHandle) mutateLocked(key, value []byte, fn func([]byte, bool) []byte, hv uint64, fp uint8) (existed, needGrow bool) {
 	t := h.t
 retry:
+	// The gate pins the generation, so split bits computed against st.nb
+	// stay valid until the next rebuild shifts them.
 	st := t.state.Load()
-	b := hashfn.Fastrange(hv, st.nb) * BucketWords
+	bi, lo := bits.Mul64(hv, st.nb)
+	b := bi * BucketWords
+	ext := splitBits(lo)
 	h.Lines++
 	free := -1
 	for lane := 0; lane < BucketLanes; lane++ {
@@ -322,7 +350,7 @@ retry:
 			}
 			continue
 		}
-		if slotFP(w) != uint16(fp) {
+		if !slotMatch(w, fp) {
 			continue
 		}
 		k, old := t.ar.Record(slotRef(w))
@@ -335,7 +363,7 @@ retry:
 			nv = fn(old, true)
 		}
 		ref := h.w.Append(key, nv)
-		if atomic.CompareAndSwapUint64(&st.words[b+uint64(lane)+1], w, slotWord(fp, ref)) {
+		if atomic.CompareAndSwapUint64(&st.words[b+uint64(lane)+1], w, slotWord(ext, fp, ref)) {
 			t.ar.Retire(slotRef(w))
 			return true, false
 		}
@@ -348,7 +376,7 @@ retry:
 	for n := st.stash[b/BucketWords].Load(); n != nil; n = n.next {
 		h.Hops++
 		w := n.word.Load()
-		if slotFP(w) != uint16(fp) {
+		if !slotMatch(w, fp) {
 			continue
 		}
 		k, old := t.ar.Record(slotRef(w))
@@ -360,7 +388,7 @@ retry:
 			nv = fn(old, true)
 		}
 		ref := h.w.Append(key, nv)
-		if n.word.CompareAndSwap(w, slotWord(fp, ref)) {
+		if n.word.CompareAndSwap(w, slotWord(ext, fp, ref)) {
 			t.ar.Retire(slotRef(w))
 			return true, false
 		}
@@ -375,7 +403,7 @@ retry:
 		nv = fn(nil, false)
 	}
 	ref := h.w.Append(key, nv)
-	w := slotWord(fp, ref)
+	w := slotWord(ext, fp, ref)
 	if free >= 0 {
 		if !atomic.CompareAndSwapUint64(&st.words[b+uint64(free)+1], 0, w) {
 			t.ar.Retire(ref)
@@ -424,8 +452,12 @@ retry:
 // node) is tombstoned, not freed — fingerprint bytes are write-once — and
 // swept by the next rebuild.
 func (h *BucketHandle) Delete(key []byte) bool {
+	return h.DeleteHashed(h.t.hash(key), key)
+}
+
+// DeleteHashed is Delete for a caller that already holds hv = HashOf(key).
+func (h *BucketHandle) DeleteHashed(hv uint64, key []byte) bool {
 	t := h.t
-	hv := t.hash(key)
 	fp := table.TagOf(hv)
 	g := &t.gates[hv&(bucketGateStripes-1)]
 	g.RLock()
@@ -436,7 +468,7 @@ retry:
 	h.Lines++
 	for lane := 0; lane < BucketLanes; lane++ {
 		w := atomic.LoadUint64(&st.words[b+uint64(lane)+1])
-		if slotFP(w) != uint16(fp) {
+		if !slotMatch(w, fp) {
 			continue
 		}
 		k, _ := t.ar.Record(slotRef(w))
@@ -453,7 +485,7 @@ retry:
 	for n := st.stash[b/BucketWords].Load(); n != nil; n = n.next {
 		h.Hops++
 		w := n.word.Load()
-		if slotFP(w) != uint16(fp) {
+		if !slotMatch(w, fp) {
 			continue
 		}
 		k, _ := t.ar.Record(slotRef(w))
@@ -472,7 +504,8 @@ retry:
 
 // grow rebuilds the index: same size when churn (tombstones) caused the
 // trigger, doubled until live entries sit at or below ~70% of lanes
-// otherwise. Index-only — slot words move, record bytes do not.
+// otherwise. Index-only — slot words move, record bytes do not, and each
+// word's new bucket comes from its split bits rather than its key.
 func (t *BucketTable) grow() {
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
@@ -485,27 +518,43 @@ func (t *BucketTable) grow() {
 	}
 	live := uint64(t.live.Load())
 	nb := st.nb
+	var d uint // doublings: nb == st.nb << d
 	for float64(live) >= 0.7*float64(nb*BucketLanes) {
 		nb *= 2
+		d++
 	}
 	ns := newBucketState(nb)
 	// Writers are quiesced and the new arrays are private until the state
 	// swap (a release store), so plain accesses are sound on both sides.
-	migrate := func(w uint64) {
+	var claimed, stashed int64
+	migrate := func(bi, w uint64) {
 		if w == 0 || w == slotTombstone {
 			return
 		}
-		t.insertRebuilt(ns, t.hash(t.ar.Key(slotRef(w))), w)
+		nbi, ext, ok := splitPlace(bi, slotExt(w), d)
+		if !ok {
+			// Split bits exhausted: read the key once and store fresh bits
+			// against the new bucket count.
+			var lo uint64
+			nbi, lo = bits.Mul64(t.hash(t.ar.Key(slotRef(w))), ns.nb)
+			ext = splitBits(lo)
+		}
+		claimed++
+		if ns.insertRebuilt(nbi, slotWithExt(w, ext)) {
+			stashed++
+		}
 	}
 	for bi := uint64(0); bi < st.nb; bi++ {
 		base := bi * BucketWords
 		for lane := 0; lane < BucketLanes; lane++ {
-			migrate(st.words[base+uint64(lane)+1])
+			migrate(bi, st.words[base+uint64(lane)+1])
 		}
 		for n := st.stash[bi].Load(); n != nil; n = n.next {
-			migrate(n.word.Load())
+			migrate(bi, n.word.Load())
 		}
 	}
+	ns.claimed.Store(claimed)
+	ns.stashed.Store(stashed)
 	t.state.Store(ns)
 	t.grows.Add(1)
 	for i := range t.gates {
@@ -516,24 +565,22 @@ func (t *BucketTable) grow() {
 	t.ar.Advance()
 }
 
-// insertRebuilt places one live slot word into the private new state. The
-// fingerprint is recovered from the word itself; only the bucket index
-// needs the hash.
-func (t *BucketTable) insertRebuilt(ns *bucketState, hv uint64, w uint64) {
-	b := hashfn.Fastrange(hv, ns.nb) * BucketWords
-	fp := uint8(slotFP(w))
-	for lane := 0; lane < BucketLanes; lane++ {
-		if ns.words[b+uint64(lane)+1] == 0 {
-			ns.words[b+uint64(lane)+1] = w
-			ns.words[b] |= metaFPByte(lane, fp) | metaPublishBit(lane)
-			ns.claimed.Add(1)
-			return
-		}
+// insertRebuilt places one live slot word into bucket bi of a private,
+// not yet published state, filling lanes in order (the publish bitmap
+// doubles as the fill cursor) and then the stash. It reports whether the
+// word went to the stash; the caller keeps the claimed/stashed counts.
+func (ns *bucketState) insertRebuilt(bi uint64, w uint64) (stashed bool) {
+	b := bi * BucketWords
+	meta := ns.words[b]
+	if free := ^meta & (1<<BucketLanes - 1); free != 0 {
+		lane := bits.TrailingZeros64(free)
+		ns.words[b+uint64(lane)+1] = w
+		ns.words[b] = meta | metaFPByte(lane, slotFP(w)) | metaPublishBit(lane)
+		return false
 	}
-	n := &stashNode{next: ns.stash[b/BucketWords].Load()}
+	n := &stashNode{next: ns.stash[bi].Load()}
 	n.word.Store(w)
-	ns.stash[b/BucketWords].Store(n)
-	ns.words[b] |= bucketStashBit
-	ns.claimed.Add(1)
-	ns.stashed.Add(1)
+	ns.stash[bi].Store(n)
+	ns.words[b] = meta | bucketStashBit
+	return true
 }

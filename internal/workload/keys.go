@@ -57,6 +57,21 @@ func NewKeyStreamMiss(seed int64, n uint64, theta, miss float64) *KeyStream {
 	return s
 }
 
+// NewKeyStreamSalt is NewKeyStream with the rank→key salt given rather than
+// drawn from seed: seed drives only the rank draws. Streams that share a
+// salt share a key space, so streams with distinct seeds and the salt
+// LoadSalt(s) all draw keys of the UniqueKeys(s, n) population.
+func NewKeyStreamSalt(seed int64, salt, n uint64, theta float64) *KeyStream {
+	s := NewKeyStream(seed, n, theta)
+	s.salt = salt
+	return s
+}
+
+// LoadSalt returns the salt UniqueKeys(seed, ·) scrambles ranks with (and
+// NewKeyStream(seed, ·) draws): rank i of that population is
+// ScrambleRank(i, LoadSalt(seed)).
+func LoadSalt(seed int64) uint64 { return rand.New(rand.NewSource(seed)).Uint64() | 1 }
+
 // NewRankStream is like NewKeyStream but returns raw ranks without
 // scrambling; useful when the caller wants to map ranks itself (e.g. the
 // memory simulator, which needs to know how hot each key is).
@@ -93,7 +108,7 @@ func ScrambleRank(rank, salt uint64) uint64 {
 // 0..n-1, so uniqueness is structural, not probabilistic, and no O(n) set is
 // needed for deduplication.
 func UniqueKeys(seed int64, n int) []uint64 {
-	salt := rand.New(rand.NewSource(seed)).Uint64() | 1
+	salt := LoadSalt(seed)
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = ScrambleRank(uint64(i), salt)
@@ -105,7 +120,7 @@ func UniqueKeys(seed int64, n int) []uint64 {
 // without materializing the slice; used by the simulator on key spaces of a
 // billion elements.
 func UniqueKeyAt(seed int64, i uint64) uint64 {
-	salt := rand.New(rand.NewSource(seed)).Uint64() | 1
+	salt := LoadSalt(seed)
 	return ScrambleRank(i, salt)
 }
 
@@ -114,7 +129,7 @@ func UniqueKeyAt(seed int64, i uint64) uint64 {
 // disjoint from the positive ranks [0, n), so the negative-lookup
 // benchmarks need no membership set to certify their misses.
 func MissKeys(seed int64, n, count int) []uint64 {
-	salt := rand.New(rand.NewSource(seed)).Uint64() | 1
+	salt := LoadSalt(seed)
 	keys := make([]uint64, count)
 	for i := range keys {
 		keys[i] = ScrambleRank(uint64(n+i), salt)

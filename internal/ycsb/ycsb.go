@@ -111,7 +111,8 @@ type Generator struct {
 	keys     *workload.KeyStream
 	rng      *rand.Rand
 	salt     uint64
-	inserted uint64 // next fresh rank for Insert ops
+	inserted uint64 // last rank an Insert op took
+	insStep  uint64 // rank stride between this generator's Inserts
 	maxScan  int
 	// miss redirects that fraction of Read ops to guaranteed-absent keys.
 	miss    float64
@@ -146,21 +147,49 @@ func NewGenerator(mix Mix, records uint64, seed int64) *Generator {
 // mixes, and any positive value sets the skew directly, which is how the
 // combining A/B experiments sweep hot-key density.
 func NewGeneratorTheta(mix Mix, records uint64, seed int64, theta float64) *Generator {
-	if theta < 0 {
-		theta = 0
-		if mix.Zipfian {
-			theta = Theta
-		}
-	}
 	return &Generator{
 		mix:      mix,
-		keys:     workload.NewKeyStream(seed, records, theta),
+		keys:     workload.NewKeyStream(seed, records, mixTheta(mix, theta)),
 		rng:      rand.New(rand.NewSource(seed ^ 0x7f4a7c15)),
-		salt:     rand.New(rand.NewSource(seed)).Uint64() | 1,
+		salt:     workload.LoadSalt(seed),
 		inserted: records,
+		insStep:  1,
 		maxScan:  100,
 		records:  records,
 	}
+}
+
+// NewStreamGenerator builds stream `stream` of `streams` concurrent client
+// streams over the dataset LoadKeys(records, loadSeed) loaded. Every stream
+// maps ranks to keys with the load's salt, so its reads and updates name
+// loaded keys; each draws ranks, op kinds and misses from its own seed, and
+// the streams' Inserts take disjoint fresh ranks (records+1+stream,
+// records+1+stream+streams, ...), so no two streams insert the same key
+// and no Insert re-inserts a loaded one. Misses (see NewGeneratorMiss)
+// come from ranks no Insert reaches, under the same salt.
+func NewStreamGenerator(mix Mix, records uint64, loadSeed int64, stream, streams int, miss, theta float64) *Generator {
+	if streams < 1 || stream < 0 || stream >= streams {
+		panic("ycsb: stream index out of range")
+	}
+	seed := loadSeed + 1 + int64(stream)
+	g := NewGeneratorMissTheta(mix, records, seed, miss, theta)
+	g.salt = workload.LoadSalt(loadSeed)
+	g.keys = workload.NewKeyStreamSalt(seed, g.salt, records, mixTheta(mix, theta))
+	g.inserted = records + uint64(stream) + 1 - uint64(streams)
+	g.insStep = uint64(streams)
+	return g
+}
+
+// mixTheta resolves a theta argument: negative selects the mix's default
+// (Theta when the mix is zipfian, 0 otherwise).
+func mixTheta(mix Mix, theta float64) float64 {
+	if theta >= 0 {
+		return theta
+	}
+	if mix.Zipfian {
+		return Theta
+	}
+	return 0
 }
 
 // NewGeneratorMiss is NewGenerator with a miss ratio: each Read op is, with
@@ -227,7 +256,7 @@ func (g *Generator) Next() Op {
 	case r < m.Read+m.Update:
 		return Op{Kind: Update, Key: g.keys.Next(), ValueSize: g.writeSize()}
 	case r < m.Read+m.Update+m.Insert:
-		g.inserted++
+		g.inserted += g.insStep
 		return Op{Kind: Insert, Key: workload.ScrambleRank(g.inserted, g.salt), ValueSize: g.writeSize()}
 	case r < m.Read+m.Update+m.Insert+m.Scan:
 		return Op{Kind: Scan, Key: g.keys.Next(), ScanLen: 1 + g.rng.Intn(g.maxScan)}

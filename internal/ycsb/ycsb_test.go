@@ -184,3 +184,62 @@ func TestGeneratorMissReadsAreAbsent(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamGeneratorsShareLoadKeys pins what concurrent client streams
+// must satisfy for a run to measure the workload it names: every stream's
+// reads and updates land on loaded keys (at missratio 0 nothing misses),
+// redirected misses land on no loaded or inserted key, the streams' draws
+// differ, and their inserts never collide with each other or the load.
+func TestStreamGeneratorsShareLoadKeys(t *testing.T) {
+	const records, streams, seed = 2000, 4, 1
+	load := map[uint64]bool{}
+	for _, k := range LoadKeys(records, seed) {
+		load[k] = true
+	}
+	for _, miss := range []float64{0, 0.25} {
+		inserted := map[uint64]bool{}
+		var firsts []uint64
+		var missKeys []uint64
+		for s := 0; s < streams; s++ {
+			mix := Mix{Name: "mixed", Read: 0.6, Update: 0.2, Insert: 0.2, Zipfian: true}
+			g := NewStreamGenerator(mix, records, seed, s, streams, miss, -1)
+			reads, hits := 0, 0
+			for i := 0; i < 20000; i++ {
+				op := g.Next()
+				if i == 0 {
+					firsts = append(firsts, op.Key)
+				}
+				switch op.Kind {
+				case Read:
+					reads++
+					if load[op.Key] {
+						hits++
+					} else {
+						missKeys = append(missKeys, op.Key)
+					}
+				case Update:
+					if !load[op.Key] {
+						t.Fatalf("stream %d updated a key outside the load", s)
+					}
+				case Insert:
+					if load[op.Key] || inserted[op.Key] {
+						t.Fatalf("stream %d inserted a loaded or already inserted key", s)
+					}
+					inserted[op.Key] = true
+				}
+			}
+			rate := float64(hits) / float64(reads)
+			if math.Abs(rate-(1-miss)) > 0.02 {
+				t.Fatalf("miss %.2f stream %d: read hit rate %.3f", miss, s, rate)
+			}
+		}
+		for _, k := range missKeys {
+			if inserted[k] {
+				t.Fatal("a redirected miss named an inserted key")
+			}
+		}
+		if firsts[0] == firsts[1] && firsts[1] == firsts[2] && firsts[2] == firsts[3] {
+			t.Fatal("streams draw identical sequences")
+		}
+	}
+}
